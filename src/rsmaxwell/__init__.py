@@ -36,11 +36,8 @@ from .seeds import (
     CylindricalSeed,
     RealPlaneSeed,
     kfg_residual,
-    seed_gradient,
-    seed_hessian,
-    seed_value,
 )
-from .squaring import Lambda, combine, em_field, formal_solutions, rs_field
+from .squaring import Lambda, combine, em_field, formal_solutions
 from .verify import ConvergenceResult, ResidualReport, convergence_order, maxwell_residual
 from .waves import (
     FieldSample,

@@ -28,6 +28,7 @@ __all__ = [
     "SpacetimePoint",
     "alpha",
     "as_point_array",
+    "central_differences",
     "maxwell_operator_apply",
 ]
 
@@ -173,14 +174,31 @@ class RSVector:
 RSFieldFunction = Callable[[SpacetimePoint], RSVector]
 
 
-def _sample(field_fn: RSFieldFunction, p: SpacetimePoint) -> np.ndarray:
-    value = field_fn(p)
-    arr = value.components if isinstance(value, RSVector) else np.asarray(value, dtype=complex)
-    if arr.shape != (4,):
-        raise ValueError(f"field function must return 4 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise NonFiniteFieldError(f"non-finite field sample at {p}")
-    return arr
+def _finite_sample(sample: Callable[[SpacetimePoint], np.ndarray], q: SpacetimePoint) -> np.ndarray:
+    value = sample(q)
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteFieldError(f"non-finite field sample at stencil point {q}")
+    return value
+
+
+def central_differences(
+    sample: Callable[[SpacetimePoint], np.ndarray], p: PointLike, h: float
+) -> np.ndarray:
+    """Central differences of step h of a vector-valued sample at p, as a (4, k) array.
+
+    Row ``a`` is ``(sample(p + h e_a) - sample(p - h e_a)) / 2h``, second-order
+    accurate.  Raises :class:`NonFiniteFieldError`, naming the stencil point,
+    if any of the eight samples is not finite.
+    """
+    if h <= 0:
+        raise ValueError(f"step must be positive, got {h}")
+    pt = as_point(p)
+    rows = []
+    for axis in range(4):
+        plus = _finite_sample(sample, pt.shifted(axis, +h))
+        minus = _finite_sample(sample, pt.shifted(axis, -h))
+        rows.append((plus - minus) / (2.0 * h))
+    return np.array(rows)
 
 
 def maxwell_operator_apply(
@@ -192,15 +210,16 @@ def maxwell_operator_apply(
     the second-order stencil.  Raises :class:`NonFiniteFieldError` if any of
     the eight stencil samples is not finite.
     """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    pt = as_point(p)
-    derivs = []
-    for axis in range(4):
-        plus = _sample(field_fn, pt.shifted(axis, +h))
-        minus = _sample(field_fn, pt.shifted(axis, -h))
-        derivs.append((plus - minus) / (2.0 * h))
-    out = -1j * derivs[0]
+
+    def sample(q: SpacetimePoint) -> np.ndarray:
+        value = field_fn(q)
+        arr = value.components if isinstance(value, RSVector) else np.asarray(value, dtype=complex)
+        if arr.shape != (4,):
+            raise ValueError(f"field function must return 4 components, got shape {arr.shape}")
+        return arr
+
+    d = central_differences(sample, p, h)
+    out = -1j * d[0]
     for j in range(3):
-        out = out + ALPHA[j] @ derivs[j + 1]
+        out = out + ALPHA[j] @ d[j + 1]
     return RSVector(out)

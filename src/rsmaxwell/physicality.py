@@ -13,9 +13,11 @@ linear PDE constraints on the seed gradient ``F_c = d_c Phi``:
 
       [-lambda_0 d0 + i lambda_j d_j] F_c = 0          (c = 0..3)
 
-The constraints are enforced at a batch of quasi-random sample points, which
-turns them into a real linear system over (a0..a3, b0..b3); its SVD null
-space is the admissible weight space.  Null directions whose combination is
+The constraints are enforced at a batch of quasi-random sample points (the
+unscrambled Halton sequence in bases 2, 3, 5, 7, first point skipped; J. H.
+Halton, Numer. Math. 2, 84-90, 1960), which turns them into a real linear
+system over (a0..a3, b0..b3); its SVD null space is the admissible weight
+space.  Null directions whose combination is
 identically zero (the kernel) are split from the genuinely physical ones by
 evaluating the combined field at the sample points.
 
@@ -31,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .algebra import PointLike, SpacetimePoint, as_point
 from .seeds import (
@@ -127,12 +128,22 @@ def default_sample_points(
 ) -> tuple[SpacetimePoint, ...]:
     """Deterministic quasi-random sample points sized to the seed's wavelength.
 
+    The points are the unscrambled Halton sequence in bases 2, 3, 5, 7
+    (J. H. Halton, Numer. Math. 2, 84-90, 1960) with its first point, the
+    origin, skipped, mapped affinely onto a box a few wavelengths wide.
     Cylindrical seeds get transverse coordinates bounded away from the axis.
     User-supplied ``extra`` points are appended verbatim.
     """
-    sampler = qmc.Halton(d=4, scramble=False)
-    sampler.fast_forward(1)  # the first Halton point is the origin
-    u = sampler.random(n)
+    u = np.empty((n, 4))
+    for col, base in enumerate((2, 3, 5, 7)):
+        for row in range(n):
+            # radical inverse of the index row + 1 in this base
+            i, f, r = row + 1, 1.0, 0.0
+            while i:
+                f /= base
+                i, d = divmod(i, base)
+                r += f * d
+            u[row, col] = r
     scale = 1.0 / char_wavenumber(seed)
     if isinstance(seed, CylindricalSeed):
         low = np.array([-1.25, 0.35, 0.35, -1.25]) * scale
@@ -291,7 +302,9 @@ def solve_null_space(
             warning="all-zero constraint system: every weight vector is admissible",
         )
 
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    # U is never used; the full V is needed only when there are fewer rows
+    # than the 8 unknowns, where the thin V would drop null directions.
+    _, s, vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < 8)
     sigma_max = s[0]
     rank = int(np.sum(s > tol_rank * sigma_max))
     ambiguous = np.sum((s > tol_rank * sigma_max) & (s < 10 * tol_rank * sigma_max))
@@ -308,9 +321,8 @@ def solve_null_space(
     # Field evaluation at the sample points decides which directions are
     # trivial: combine each candidate with the precomputed formal matrices.
     mats = np.stack([formal_solutions(cs.seed, p) for p in cs.points])  # (N,4,4)
-    grad_scale = max(
-        float(np.max(np.abs(cs.seed.gradient(p)))) for p in cs.points
-    )
+    # every entry of a formal matrix is +-F_a or i F0, so this is max |F_a|
+    grad_scale = float(np.max(np.abs(mats)))
     thr = tol_kernel * max(grad_scale, 1e-300)
     physical = []
     kernel = []

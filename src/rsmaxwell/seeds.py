@@ -35,9 +35,6 @@ __all__ = [
     "ScalarSeed",
     "char_wavenumber",
     "kfg_residual",
-    "seed_gradient",
-    "seed_hessian",
-    "seed_value",
 ]
 
 #: Axis exclusion radius for cylindrical seeds.
@@ -57,14 +54,9 @@ def _check_null(k: np.ndarray) -> None:
         )
 
 
-def _lowered(k: np.ndarray) -> np.ndarray:
-    """Spatially lowered wave vector (k0, -k1, -k2, -k3)."""
-    return np.array([k[0], -k[1], -k[2], -k[3]], dtype=float)
-
-
 @dataclass(frozen=True)
-class RealPlaneSeed:
-    """Phi = A sin(k0 x0 - k1 x1 - k2 x2 - k3 x3) with a null 4-vector k."""
+class _PlaneSeed:
+    """Amplitude and null 4-vector k shared by the two plane seeds."""
 
     amplitude: float
     k: tuple[float, float, float, float]
@@ -78,12 +70,19 @@ class RealPlaneSeed:
 
     @property
     def k_lowered(self) -> np.ndarray:
-        return _lowered(np.asarray(self.k))
+        """Spatially lowered wave vector (k0, -k1, -k2, -k3)."""
+        k = self.k
+        return np.array([k[0], -k[1], -k[2], -k[3]], dtype=float)
 
     def phase(self, p: PointLike) -> float:
         x = as_point_array(p)
         k = self.k
         return k[0] * x[0] - k[1] * x[1] - k[2] * x[2] - k[3] * x[3]
+
+
+@dataclass(frozen=True)
+class RealPlaneSeed(_PlaneSeed):
+    """Phi = A sin(k0 x0 - k1 x1 - k2 x2 - k3 x3) with a null 4-vector k."""
 
     def value(self, p: PointLike) -> complex:
         return complex(self.amplitude * np.sin(self.phase(p)))
@@ -98,27 +97,8 @@ class RealPlaneSeed:
 
 
 @dataclass(frozen=True)
-class ComplexPlaneSeed:
+class ComplexPlaneSeed(_PlaneSeed):
     """Phi = A exp(i (k0 x0 - k.x)) with a null 4-vector k."""
-
-    amplitude: float
-    k: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        k = np.asarray(self.k, dtype=float)
-        if k.shape != (4,):
-            raise ValueError("k must have 4 components")
-        _check_null(k)
-        object.__setattr__(self, "k", tuple(float(v) for v in k))
-
-    @property
-    def k_lowered(self) -> np.ndarray:
-        return _lowered(np.asarray(self.k))
-
-    def phase(self, p: PointLike) -> float:
-        x = as_point_array(p)
-        k = self.k
-        return k[0] * x[0] - k[1] * x[1] - k[2] * x[2] - k[3] * x[3]
 
     def value(self, p: PointLike) -> complex:
         return complex(self.amplitude * np.exp(1j * self.phase(p)))
@@ -179,10 +159,13 @@ class CylindricalSeed:
         t = np.exp(1j * (self.freq * x[0] + self.kz * x[3]))
         return complex(self.amplitude * t * special.jv(self.m, self.q * rho) * np.exp(1j * self.m * phi))
 
-    def gradient(self, p: PointLike) -> np.ndarray:
+    def _jet(self, p: PointLike) -> tuple[complex, dict[int, complex]]:
+        """Axial-temporal factor A exp(i(freq x0 + kz x3)) and the ladder at p."""
         x, rho, phi = self._polar(p)
         t = self.amplitude * np.exp(1j * (self.freq * x[0] + self.kz * x[3]))
-        w = self._ladder(rho, phi)
+        return t, self._ladder(rho, phi)
+
+    def _gradient(self, t: complex, w: dict[int, complex]) -> np.ndarray:
         m, q = self.m, self.q
         phi_val = t * w[m]
         f = np.empty(4, dtype=complex)
@@ -192,12 +175,13 @@ class CylindricalSeed:
         f[3] = 1j * self.kz * phi_val
         return f
 
+    def gradient(self, p: PointLike) -> np.ndarray:
+        return self._gradient(*self._jet(p))
+
     def hessian(self, p: PointLike) -> np.ndarray:
-        x, rho, phi = self._polar(p)
-        t = self.amplitude * np.exp(1j * (self.freq * x[0] + self.kz * x[3]))
-        w = self._ladder(rho, phi)
+        t, w = self._jet(p)
         m, q = self.m, self.q
-        f = self.gradient(p)
+        f = self._gradient(t, w)
         h = np.empty((4, 4), dtype=complex)
         h[0, :] = 1j * self.freq * f
         h[3, :] = 1j * self.kz * f
@@ -216,26 +200,11 @@ ScalarSeed = Union[RealPlaneSeed, ComplexPlaneSeed, CylindricalSeed]
 
 def char_wavenumber(seed: ScalarSeed) -> float:
     """Dominant wavenumber of a seed; 1 for degenerate (constant) seeds."""
-    if isinstance(seed, (RealPlaneSeed, ComplexPlaneSeed)):
+    if isinstance(seed, _PlaneSeed):
         scale = abs(seed.k[0])
     else:
         scale = max(abs(seed.freq), abs(seed.kz))
     return scale if scale > 0 else 1.0
-
-
-def seed_value(seed: ScalarSeed, p: PointLike) -> complex:
-    """Phi(p)."""
-    return seed.value(p)
-
-
-def seed_gradient(seed: ScalarSeed, p: PointLike) -> np.ndarray:
-    """Analytic 4-gradient F_a = d_a Phi at p, as a complex length-4 array."""
-    return seed.gradient(p)
-
-
-def seed_hessian(seed: ScalarSeed, p: PointLike) -> np.ndarray:
-    """Analytic second derivatives d_a d_c Phi at p, as a complex 4x4 array."""
-    return seed.hessian(p)
 
 
 def kfg_residual(seed: ScalarSeed, p: PointLike, h: float) -> float:

@@ -21,14 +21,14 @@ recovered from weighted combinations (see :mod:`rsmaxwell.physicality`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import ALPHA, PointLike, RSVector, SpacetimePoint, as_point
+from .algebra import ALPHA, PointLike, RSVector, as_point
 from .seeds import ScalarSeed
 
-__all__ = ["Lambda", "combine", "formal_solutions", "rs_field"]
+__all__ = ["Lambda", "combine", "formal_solutions"]
 
 _I4 = np.eye(4)
 
@@ -91,15 +91,6 @@ def formal_solutions(seed: ScalarSeed, p: PointLike) -> np.ndarray:
 def combine(seed: ScalarSeed, lam: Lambda, p: PointLike) -> RSVector:
     """Weighted combination lambda_c Psi^c of the formal solutions at p."""
     return RSVector(formal_solutions(seed, p) @ lam.as_array())
-
-
-def rs_field(seed: ScalarSeed, lam: Lambda) -> Callable[[SpacetimePoint], RSVector]:
-    """Close over a seed and weights to get a field function p -> RSVector."""
-
-    def field(p: PointLike) -> RSVector:
-        return combine(seed, lam, as_point(p))
-
-    return field
 
 
 def em_field(seed: ScalarSeed, lam: Lambda):

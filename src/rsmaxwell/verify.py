@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import NonFiniteFieldError, PointLike, SpacetimePoint, as_point
+from .algebra import PointLike, SpacetimePoint, as_point, central_differences
 from .dual import SourceTuple
 from .waves import FieldSample
 
@@ -48,15 +48,6 @@ class ResidualReport:
     gauss_b_value: float
 
 
-def _sample(field_fn: FieldFunction, p: SpacetimePoint) -> tuple[np.ndarray, np.ndarray]:
-    f = field_fn(p)
-    e = np.asarray(f.e, dtype=float)
-    cb = np.asarray(f.cb, dtype=float)
-    if not (np.all(np.isfinite(e)) and np.all(np.isfinite(cb))):
-        raise NonFiniteFieldError(f"non-finite field sample at stencil point {p}")
-    return e, cb
-
-
 def maxwell_residual(
     field_fn: FieldFunction,
     p: PointLike,
@@ -70,16 +61,14 @@ def maxwell_residual(
     normalized by the largest first-derivative magnitude on the stencil,
     which is the natural local scale k * max(|E|, |cB|) for wave fields.
     """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
     pt = as_point(p)
-    de = np.empty((4, 3))
-    dcb = np.empty((4, 3))
-    for axis in range(4):
-        ep, cbp = _sample(field_fn, pt.shifted(axis, +h))
-        em, cbm = _sample(field_fn, pt.shifted(axis, -h))
-        de[axis] = (ep - em) / (2.0 * h)
-        dcb[axis] = (cbp - cbm) / (2.0 * h)
+
+    def sample(q: SpacetimePoint) -> np.ndarray:
+        f = field_fn(q)
+        return np.concatenate([np.asarray(f.e, dtype=float), np.asarray(f.cb, dtype=float)])
+
+    d = central_differences(sample, pt, h)
+    de, dcb = d[:, :3], d[:, 3:]
 
     div_e = de[1][0] + de[2][1] + de[3][2]
     div_cb = dcb[1][0] + dcb[2][1] + dcb[3][2]

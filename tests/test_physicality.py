@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rsmaxwell
 from oracles import max_principal_angle, span_columns
 from rsmaxwell import (
     ComplexPlaneSeed,
@@ -229,3 +236,48 @@ def test_determinant_identity_random(rng):
 def test_determinant_requires_unit_n():
     with pytest.raises(ValueError):
         check_linear_dependence_3x3((0, 0, 2.0), (1, 0, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("n", [1, 32, 512, 1024])
+def test_sample_points_are_scipy_halton_bit_for_bit(n, z_seed):
+    # scipy is only the reference here; the package computes Halton itself
+    from scipy.stats import qmc
+
+    sampler = qmc.Halton(d=4, scramble=False)
+    sampler.fast_forward(1)
+    ref = -1.25 + sampler.random(n) * (2.15 - -1.25)
+    got = np.array([p.as_array() for p in default_sample_points(z_seed, n)])
+    np.testing.assert_array_equal(got, ref)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = str(Path(rsmaxwell.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, rsmaxwell.cli; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_solve_null_space_memory_stays_small(z_seed):
+    cs = assemble_constraints(z_seed, default_sample_points(z_seed, 512))
+    tracemalloc.start()
+    try:
+        solve_null_space(cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_cylindrical_solve_evaluates_one_ladder_per_point_per_pass(monkeypatch):
+    # one ladder per Hessian in assembly, one per gradient for the formal matrices
+    seed = CylindricalSeed(1.3, 1.3, 0.5, 2)
+    ladder = CylindricalSeed._ladder
+    calls = []
+
+    def counted(self, rho, phi):
+        calls.append(1)
+        return ladder(self, rho, phi)
+
+    monkeypatch.setattr(CylindricalSeed, "_ladder", counted)
+    solve_null_space(assemble_constraints(seed, default_sample_points(seed, 32)))
+    assert len(calls) == 64
