@@ -38,7 +38,13 @@ from .seeds import (
     kfg_residual,
 )
 from .squaring import Lambda, combine, em_field, formal_solutions
-from .verify import ConvergenceResult, ResidualReport, convergence_order, maxwell_residual
+from .verify import (
+    ConvergenceResult,
+    ResidualReport,
+    convergence_order,
+    maxwell_residual,
+    maxwell_residuals,
+)
 from .waves import (
     FieldSample,
     LCFrame,

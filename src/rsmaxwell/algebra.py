@@ -15,6 +15,8 @@ pair ``(E, cB)`` and the time coordinate is ``x0 = c*t``.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -38,7 +40,16 @@ class NonFiniteFieldError(ArithmeticError):
 
 
 class AxisError(ValueError):
-    """Evaluation requested inside the excluded cylindrical-axis region."""
+    """Evaluation requested inside the excluded cylindrical-axis region.
+
+    ``rows`` is a boolean mask over the inputs of the call that raised it,
+    True where an input is on the axis, or None when that is not known.  A
+    caller can drop the marked inputs and evaluate the rest.
+    """
+
+    def __init__(self, message: str, rows: np.ndarray | None = None) -> None:
+        super().__init__(message)
+        self.rows = rows
 
 
 def _alpha_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,17 +111,16 @@ class SpacetimePoint:
     def __post_init__(self) -> None:
         for name in ("x0", "x1", "x2", "x3"):
             v = float(getattr(self, name))
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"non-finite coordinate {name}={v!r}")
             object.__setattr__(self, name, v)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x0, self.x1, self.x2, self.x3], dtype=float)
 
-    def shifted(self, axis: int, delta: float) -> "SpacetimePoint":
-        c = [self.x0, self.x1, self.x2, self.x3]
-        c[axis] += delta
-        return SpacetimePoint(*c)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        # lets numpy stack a sequence of points into an (N, 4) array
+        return self.as_array().astype(dtype or float, copy=False)
 
 
 PointLike = Union[SpacetimePoint, Sequence[float], np.ndarray]
@@ -130,6 +140,62 @@ def as_point(p: PointLike) -> SpacetimePoint:
     if isinstance(p, SpacetimePoint):
         return p
     return SpacetimePoint(*as_point_array(p))
+
+
+def _along_points(fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """Let ``fn(*args, x)``, written for (N, 4) coordinates x, also take a single point.
+
+    ``fn`` returns arrays along the leading axis; for one point the wrapper
+    passes x as a (1, 4) array and returns row 0, so the scalar call is the
+    N = 1 case of the same body.  Overflow and invalid operations inside
+    ``fn`` raise no warning: they show as inf or nan, which the consumers of
+    seed values check and report.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        *head, p = args
+        x = np.asarray(p, dtype=float)
+        single = x.shape == (4,)
+        if single:
+            x = x[None]
+        elif x.ndim != 2 or x.shape[1] != 4:
+            raise ValueError(f"expected 4 spacetime coordinates or an (N, 4) array, got shape {x.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(*head, x)
+        return out[0] if single else out
+
+    return wrapper
+
+
+def _pointwise(
+    fn: Callable[[SpacetimePoint], object], values: Callable[[object], np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Array function (M, 4) -> (M, k) from a per-point function.
+
+    Row i is ``values(fn(SpacetimePoint(*x[i])))``: this is how a function of
+    one point, such as one returning an RSVector, feeds the array stencil.
+    An AxisError from ``fn`` leaves without a row mask, since only the first
+    offending row is known.
+    """
+
+    def sample(x: np.ndarray) -> np.ndarray:
+        try:
+            return np.array([values(fn(SpacetimePoint(*row))) for row in x])
+        except AxisError as err:
+            raise AxisError(str(err)) from err
+
+    return sample
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two real (N, k) arrays.
+
+    Entry i is rounded exactly as the 1-D ``a[i] @ b[i]``: both go through
+    numpy's dot kernel, where a sum of elementwise products can round
+    differently.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -174,31 +240,44 @@ class RSVector:
 RSFieldFunction = Callable[[SpacetimePoint], RSVector]
 
 
-def _finite_sample(sample: Callable[[SpacetimePoint], np.ndarray], q: SpacetimePoint) -> np.ndarray:
-    value = sample(q)
-    if not np.all(np.isfinite(value)):
-        raise NonFiniteFieldError(f"non-finite field sample at stencil point {q}")
-    return value
-
-
 def central_differences(
-    sample: Callable[[SpacetimePoint], np.ndarray], p: PointLike, h: float
+    sample: Callable[[np.ndarray], np.ndarray], points: np.ndarray, h: float
 ) -> np.ndarray:
-    """Central differences of step h of a vector-valued sample at p, as a (4, k) array.
+    """Central differences of step h of a vector-valued sample at N points, as a (4, N, k) array.
 
-    Row ``a`` is ``(sample(p + h e_a) - sample(p - h e_a)) / 2h``, second-order
-    accurate.  Raises :class:`NonFiniteFieldError`, naming the stencil point,
-    if any of the eight samples is not finite.
+    ``sample`` maps (M, 4) coordinates to (M, k) values; it is called once,
+    on all 8N shifted points.  Entry ``[a, i]`` is
+    ``(sample(x_i + h e_a) - sample(x_i - h e_a)) / 2h``, second-order
+    accurate.  Raises :class:`NonFiniteFieldError` naming the first
+    non-finite stencil point of the first centre that has one.  An
+    :class:`AxisError` carrying a row mask is raised again with the mask
+    moved onto the centres whose stencil touches the axis.
     """
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
-    pt = as_point(p)
-    rows = []
+    x = np.asarray(points, dtype=float)
+    n = len(x)
+    # stencil row 2a is x + h e_a, row 2a + 1 is x - h e_a
+    shifted = np.repeat(x[None], 8, axis=0)
     for axis in range(4):
-        plus = _finite_sample(sample, pt.shifted(axis, +h))
-        minus = _finite_sample(sample, pt.shifted(axis, -h))
-        rows.append((plus - minus) / (2.0 * h))
-    return np.array(rows)
+        shifted[2 * axis, :, axis] += h
+        shifted[2 * axis + 1, :, axis] -= h
+    shifted = shifted.reshape(8 * n, 4)
+    try:
+        values = np.asarray(sample(shifted))
+    except AxisError as err:
+        if err.rows is None:
+            raise
+        raise AxisError(str(err), rows=err.rows.reshape(8, n).any(axis=0)) from err
+    values = values.reshape(8, n, values.shape[-1])
+    bad = ~np.isfinite(values).all(axis=2)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        row = int(np.argmax(bad[:, i])) * n + i
+        raise NonFiniteFieldError(
+            f"non-finite field sample at stencil point {SpacetimePoint(*shifted[row])}"
+        )
+    return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
 def maxwell_operator_apply(
@@ -211,14 +290,13 @@ def maxwell_operator_apply(
     the eight stencil samples is not finite.
     """
 
-    def sample(q: SpacetimePoint) -> np.ndarray:
-        value = field_fn(q)
+    def components(value) -> np.ndarray:
         arr = value.components if isinstance(value, RSVector) else np.asarray(value, dtype=complex)
         if arr.shape != (4,):
             raise ValueError(f"field function must return 4 components, got shape {arr.shape}")
         return arr
 
-    d = central_differences(sample, p, h)
+    d = central_differences(_pointwise(field_fn, components), as_point_array(p)[None], h)[:, 0]
     out = -1j * d[0]
     for j in range(3):
         out = out + ALPHA[j] @ d[j + 1]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,6 +39,12 @@ __all__ = ["main"]
 
 _CSV_HEADER = ["x0", "x1", "x2", "x3", "E1", "E2", "E3", "cB1", "cB2", "cB3",
                "E_dot_cB", "E2_minus_cB2"]
+#: Keys of a verify point record, in the order cmd_verify fills them.
+_VERIFY_KEYS = ("x", "div_E", "div_cB", "curl_E_plus_dt_cB", "curl_cB_minus_dt_E",
+                "max_residual", "max_relative")
+#: Grid points evaluated per array call by sample and verify.  Verify holds
+#: eight stencil samples per point, so a chunk keeps the arrays near 2 MB.
+CHUNK = 4096
 
 
 def _fmt(v: float) -> str:
@@ -82,19 +89,21 @@ def _resolve_lambda(cfg: RunConfig, seed) -> squaring.Lambda:
     )
 
 
-def _row_values(pt: algebra.SpacetimePoint, e: np.ndarray, cb: np.ndarray) -> list[float]:
-    return [
-        pt.x0, pt.x1, pt.x2, pt.x3,
-        e[0], e[1], e[2], cb[0], cb[1], cb[2],
-        float(e @ cb), float(e @ e - cb @ cb),
-    ]
+def _table(x: np.ndarray, e: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """(N, 12) table rows: coordinates, E, cB, E.cB and |E|^2 - |cB|^2."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_dot_cb = algebra._row_dot(e, cb)
+        e2_minus_cb2 = algebra._row_dot(e, e) - algebra._row_dot(cb, cb)
+    return np.column_stack([x, e, cb, e_dot_cb, e2_minus_cb2])
 
 
-def _write_table(path, rows: list[list[float]], fmt: str, c_display: float, skipped: int) -> None:
+def _write_table(path, table: np.ndarray, fmt: str, c_display: float, skipped: int) -> None:
     header = list(_CSV_HEADER)
     if c_display != 1.0:
         header[7:10] = ["B1", "B2", "B3"]
-        rows = [r[:7] + [v / c_display for v in r[7:10]] + r[10:] for r in rows]
+        table = table.copy()
+        table[:, 7:10] /= c_display
+    rows = table.tolist()
     with open(path, "w", newline="") as fh:
         if fmt == "csv":
             writer = csv.writer(fh)
@@ -170,23 +179,69 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
+def _chunks(grid: GridSpec):
+    """The grid's points as (N, 4) arrays of at most CHUNK consecutive rows.
+
+    The grid is enumerated through ``GridSpec.points``, the grid layer that
+    ``bench/tracing.py`` times, so that layer stays on the command path.
+    """
+    points = grid.points()
+    for start in range(0, len(points), CHUNK):
+        yield np.asarray(points[start:start + CHUNK], dtype=float)
+
+
+def _off_axis(fn, x: np.ndarray) -> tuple[np.ndarray, object]:
+    """``fn`` of the rows of x whose evaluation stays off the cylindrical axis.
+
+    Returns the mask of rows kept and ``fn`` of those rows.  When ``fn``
+    raises an AxisError, the rows it marks are dropped and the rest are
+    evaluated once more.
+    """
+    try:
+        return np.ones(len(x), dtype=bool), fn(x)
+    except algebra.AxisError as err:
+        if err.rows is None:
+            raise
+        keep = ~err.rows
+        return keep, fn(x[keep])
+
+
 def cmd_sample(cfg: RunConfig) -> int:
     seed = cfg.require_seed()
     lam = _resolve_lambda(cfg, seed)
     if not cfg.out:
         raise ValueError("sample needs an output path (--out)")
-    rows = []
+    tables = [np.empty((0, len(_CSV_HEADER)))]
     skipped = 0
-    for pt in cfg.grid.points():
-        try:
-            psi = squaring.combine(seed, lam, pt)
-        except algebra.AxisError:
-            skipped += 1
-            continue
-        rows.append(_row_values(pt, psi.e, psi.cb))
+    for x in _chunks(cfg.grid):
+        keep, psi = _off_axis(lambda c: squaring.combine(seed, lam, c), x)
+        skipped += int(np.sum(~keep))
+        table = _table(x[keep], psi[:, 1:].real, psi[:, 1:].imag)
+        bad = ~np.isfinite(table[:, 4:10]).all(axis=1)
+        if bad.any():
+            point = algebra.SpacetimePoint(*table[bad][0, :4])
+            raise algebra.NonFiniteFieldError(f"non-finite field value at grid point {point}")
+        tables.append(table)
+    rows = np.concatenate(tables)
     _write_table(cfg.out, rows, cfg.fmt, cfg.c_display, skipped)
     print(f"wrote {len(rows)} rows to {cfg.out}" + (f" (skipped {skipped} axis rows)" if skipped else ""))
     return 0
+
+
+#: Sign pattern over (E1, E2, E3, cB1, cB2, cB3) of the ``--corrupt`` control.
+_FLIP_E2 = np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
+
+
+def _flip_e2(field_fn):
+    """Negative control: ``field_fn`` with the sign of E2 flipped, at a point or on an array."""
+
+    def flipped(p):
+        f = field_fn(p)
+        if isinstance(f, waves.FieldSample):
+            return waves.FieldSample(f.e * _FLIP_E2[:3], f.cb, f.point)
+        return f * _FLIP_E2
+
+    return flipped
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -195,39 +250,22 @@ def cmd_verify(cfg: RunConfig) -> int:
     h = cfg.h if cfg.h is not None else _default_h(seed)
     field_fn = squaring.em_field(seed, lam)
     if cfg.corrupt:
-        base_fn = field_fn
-
-        def field_fn(p):
-            f = base_fn(p)
-            e = f.e.copy()
-            e[1] = -e[1]
-            return waves.FieldSample(e, f.cb, f.point)
+        field_fn = _flip_e2(field_fn)
 
     records = []
     skipped = 0
     relatives = []
-    for pt in cfg.grid.points():
-        try:
-            rep = verify.maxwell_residual(field_fn, pt, h)
-        except algebra.AxisError:
-            skipped += 1
-            continue
+    for x in _chunks(cfg.grid):
+        keep, rep = _off_axis(lambda c: verify.maxwell_residuals(field_fn, c, h), x)
+        skipped += int(np.sum(~keep))
         relatives.append(rep.max_relative)
-        records.append(
-            {
-                "type": "point",
-                "x": [pt.x0, pt.x1, pt.x2, pt.x3],
-                "div_E": rep.div_e,
-                "div_cB": rep.div_cb,
-                "curl_E_plus_dt_cB": rep.curl_e_plus_dt_cb,
-                "curl_cB_minus_dt_E": rep.curl_cb_minus_dt_e,
-                "max_residual": rep.max_residual,
-                "max_relative": rep.max_relative,
-                "h": rep.h,
-            }
-        )
+        columns = (rep.div_e, rep.div_cb, rep.curl_e_plus_dt_cb, rep.curl_cb_minus_dt_e,
+                   rep.max_residual, rep.max_relative)
+        for xi, *values in zip(x[keep].tolist(), *(c.tolist() for c in columns)):
+            records.append(dict(zip(_VERIFY_KEYS, [xi, *values]), type="point", h=h))
     if not records:
         raise ValueError("verification grid produced no usable points")
+    relatives = np.concatenate(relatives)
 
     slope = None
     floor_limited = False
@@ -275,14 +313,16 @@ def cmd_dual(cfg: RunConfig, in_path: str, chi: float) -> int:
             "dual needs a table with columns x0..x3,E1..E3,cB1..cB3 written at c=1"
         )
     exact_dual = chi == float(np.pi / 2)
-    out_rows = []
+    fields = []
     for r in rows:
         pt = algebra.SpacetimePoint(*r[:4])
         f = waves.FieldSample(np.array(r[4:7]), np.array(r[7:10]), pt)
         g = dual.dual_transform(f) if exact_dual else dual.phase_transform(f, chi)
-        out_rows.append(_row_values(pt, g.e, g.cb))
-    _write_table(cfg.out, out_rows, cfg.fmt, 1.0, 0)
-    print(f"wrote {len(out_rows)} transformed rows to {cfg.out}")
+        fields.append(np.concatenate([g.e, g.cb]))
+    x = np.array([r[:4] for r in rows]).reshape(-1, 4)
+    fields = np.array(fields).reshape(-1, 6)
+    _write_table(cfg.out, _table(x, fields[:, :3], fields[:, 3:]), cfg.fmt, 1.0, 0)
+    print(f"wrote {len(rows)} transformed rows to {cfg.out}")
     return 0
 
 
@@ -419,6 +459,7 @@ def cmd_invariants() -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rsmaxwell", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -508,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "dual":
             return cmd_dual(cfg, args.in_path, args.chi)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, algebra.NonFiniteFieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,6 @@ space is one complex dimension.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,10 +113,18 @@ class GridSpec:
             return np.linspace(lo, hi, count)
         return np.array([self.fixed.get(axis, 0.0)])
 
-    def points(self) -> list[SpacetimePoint]:
-        """Row-major over (x0, x1, x2, x3)."""
+    def coordinates(self) -> np.ndarray:
+        """(N, 4) coordinates of the grid points, row-major over (x0, x1, x2, x3)."""
         values = [self.axis_values(axis) for axis in _AXES]
-        return [SpacetimePoint(*combo) for combo in itertools.product(*values)]
+        x = np.stack(np.meshgrid(*values, indexing="ij"), axis=-1).reshape(-1, 4)
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            raise ValueError(f"non-finite grid point {x[bad][0].tolist()}")
+        return x
+
+    def points(self) -> list[SpacetimePoint]:
+        """The grid points of :meth:`coordinates` as SpacetimePoint objects."""
+        return [SpacetimePoint(*row) for row in self.coordinates().tolist()]
 
     @property
     def size(self) -> int:

@@ -134,16 +134,14 @@ def default_sample_points(
     Cylindrical seeds get transverse coordinates bounded away from the axis.
     User-supplied ``extra`` points are appended verbatim.
     """
-    u = np.empty((n, 4))
+    u = np.zeros((n, 4))
     for col, base in enumerate((2, 3, 5, 7)):
-        for row in range(n):
-            # radical inverse of the index row + 1 in this base
-            i, f, r = row + 1, 1.0, 0.0
-            while i:
-                f /= base
-                i, d = divmod(i, base)
-                r += f * d
-            u[row, col] = r
+        # radical inverse of the indices 1..n in this base, one digit per pass
+        i, f = np.arange(1, n + 1), 1.0
+        while i.any():
+            f /= base
+            i, d = np.divmod(i, base)
+            u[:, col] += f * d
     scale = 1.0 / char_wavenumber(seed)
     if isinstance(seed, CylindricalSeed):
         low = np.array([-1.25, 0.35, 0.35, -1.25]) * scale
@@ -157,6 +155,18 @@ def default_sample_points(
     return tuple(out)
 
 
+def _hessians(seed: ScalarSeed, points: tuple[PointLike, ...] | list[PointLike]) -> np.ndarray:
+    """(N, 4, 4) seed Hessians at the sample points, from one array call."""
+    if len(points) == 0:
+        raise ValueError("need at least one sample point")
+    return seed.hessian(np.asarray(points, dtype=float))
+
+
+def _tags(n: int, labels: tuple[str, str]) -> list[str]:
+    """Row tags in assembly order: point, then gradient component c, then label."""
+    return [f"point={i};c={c};{label}" for i in range(n) for c in range(4) for label in labels]
+
+
 def assemble_real_seed_constraints(
     seed: ScalarSeed, points: tuple[PointLike, ...] | list[PointLike]
 ) -> ConstraintSystem:
@@ -166,27 +176,17 @@ def assemble_real_seed_constraints(
     """
     if not isinstance(seed, RealPlaneSeed):
         raise ValueError("real-seed constraints need a real-valued seed (RealPlaneSeed)")
-    if len(points) == 0:
-        raise ValueError("need at least one sample point")
-    rows = []
-    tags = []
-    for i, p in enumerate(points):
-        h = seed.hessian(p)
-        hr = h.real  # real seed: Hessian is real
-        for c in range(4):
-            # [b0 d0 - a_j d_j] F_c = 0
-            row = np.zeros(8)
-            row[4] = hr[0, c]
-            row[1:4] = -hr[1:4, c]
-            rows.append(row)
-            tags.append(f"point={i};c={c};family=magnetic")
-            # [a0 d0 + b_j d_j] F_c = 0
-            row = np.zeros(8)
-            row[0] = hr[0, c]
-            row[5:8] = hr[1:4, c]
-            rows.append(row)
-            tags.append(f"point={i};c={c};family=electric")
-    return ConstraintSystem(np.array(rows), tuple(tags), seed, tuple(points))
+    hr = _hessians(seed, points).real  # real seed: Hessian is real
+    d0, dj = hr[:, 0, :], hr[:, 1:4, :].transpose(0, 2, 1)  # (N, c) and (N, c, j)
+    rows = np.zeros((len(hr), 4, 2, 8))
+    # [b0 d0 - a_j d_j] F_c = 0
+    rows[:, :, 0, 4] = d0
+    rows[:, :, 0, 1:4] = -dj
+    # [a0 d0 + b_j d_j] F_c = 0
+    rows[:, :, 1, 0] = d0
+    rows[:, :, 1, 5:8] = dj
+    tags = _tags(len(hr), ("family=magnetic", "family=electric"))
+    return ConstraintSystem(rows.reshape(-1, 8), tuple(tags), seed, tuple(points))
 
 
 def assemble_complex_seed_constraints(
@@ -201,23 +201,14 @@ def assemble_complex_seed_constraints(
         raise ValueError(
             "complex-seed constraints need a ComplexPlaneSeed or CylindricalSeed"
         )
-    if len(points) == 0:
-        raise ValueError("need at least one sample point")
-    rows = []
-    tags = []
-    for i, p in enumerate(points):
-        h = seed.hessian(p)
-        for c in range(4):
-            coef = np.empty(4, dtype=complex)
-            coef[0] = -h[0, c]
-            coef[1:] = 1j * h[1:4, c]
-            re_row = np.concatenate([coef.real, -coef.imag])
-            im_row = np.concatenate([coef.imag, coef.real])
-            rows.append(re_row)
-            tags.append(f"point={i};c={c};part=re")
-            rows.append(im_row)
-            tags.append(f"point={i};c={c};part=im")
-    return ConstraintSystem(np.array(rows), tuple(tags), seed, tuple(points))
+    h = _hessians(seed, points)
+    # coef[i, c] holds the weights of lambda_0..lambda_3 in row c of point i
+    coef = np.concatenate([-h[:, :1, :], 1j * h[:, 1:4, :]], axis=1).transpose(0, 2, 1)
+    rows = np.empty((len(h), 4, 2, 8))
+    rows[:, :, 0, :4], rows[:, :, 0, 4:] = coef.real, -coef.imag
+    rows[:, :, 1, :4], rows[:, :, 1, 4:] = coef.imag, coef.real
+    tags = _tags(len(h), ("part=re", "part=im"))
+    return ConstraintSystem(rows.reshape(-1, 8), tuple(tags), seed, tuple(points))
 
 
 def assemble_constraints(
@@ -320,7 +311,7 @@ def solve_null_space(
 
     # Field evaluation at the sample points decides which directions are
     # trivial: combine each candidate with the precomputed formal matrices.
-    mats = np.stack([formal_solutions(cs.seed, p) for p in cs.points])  # (N,4,4)
+    mats = formal_solutions(cs.seed, np.asarray(cs.points, dtype=float))  # (N,4,4)
     # every entry of a formal matrix is +-F_a or i F0, so this is max |F_a|
     grad_scale = float(np.max(np.abs(mats)))
     thr = tol_kernel * max(grad_scale, 1e-300)

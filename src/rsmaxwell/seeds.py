@@ -9,12 +9,16 @@ Three families are provided, each solving ``(-d0^2 + d1^2 + d2^2 + d3^2) Phi = 0
 
 Each seed exposes its value, analytic 4-gradient F_a = d_a Phi and analytic
 Hessian d_a d_c Phi; downstream construction never differentiates numerically.
+Each takes one point or an (N, 4) array of points and returns a scalar, (4,)
+and (4, 4) or the (N,), (N, 4) and (N, 4, 4) arrays; one point is the N = 1
+case of the same code.
 The cylindrical radial profile is the regular Bessel function J_m, the only
 bounded choice compatible with the wave equation; its derivatives are taken
 through the recurrence ladder J_{m+-1}, never by finite differences.
 
 The azimuthal basis is singular on the axis rho = 0 for m != 0, so cylindrical
-evaluation is restricted to rho > RHO_MIN.
+evaluation is restricted to rho > RHO_MIN; an AxisError marks the offending
+points in its ``rows`` mask.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Union
 import numpy as np
 from scipy import special
 
-from .algebra import AxisError, PointLike, as_point_array
+from .algebra import AxisError, PointLike, _along_points, as_point_array
 
 __all__ = [
     "RHO_MIN",
@@ -54,6 +58,20 @@ def _check_null(k: np.ndarray) -> None:
         )
 
 
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex product a * b from real products, one rounding per real operation.
+
+    numpy's array loop for complex multiplication may fuse a multiply with
+    the following add, so its last bit can depend on the code path; written
+    out like this the product matches a scalar complex product bit for bit,
+    whatever the batch size.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 @dataclass(frozen=True)
 class _PlaneSeed:
     """Amplitude and null 4-vector k shared by the two plane seeds."""
@@ -74,42 +92,50 @@ class _PlaneSeed:
         k = self.k
         return np.array([k[0], -k[1], -k[2], -k[3]], dtype=float)
 
-    def phase(self, p: PointLike) -> float:
-        x = as_point_array(p)
+    @_along_points
+    def phase(self, x: np.ndarray) -> np.ndarray:
         k = self.k
-        return k[0] * x[0] - k[1] * x[1] - k[2] * x[2] - k[3] * x[3]
+        return k[0] * x[:, 0] - k[1] * x[:, 1] - k[2] * x[:, 2] - k[3] * x[:, 3]
 
 
 @dataclass(frozen=True)
 class RealPlaneSeed(_PlaneSeed):
     """Phi = A sin(k0 x0 - k1 x1 - k2 x2 - k3 x3) with a null 4-vector k."""
 
-    def value(self, p: PointLike) -> complex:
-        return complex(self.amplitude * np.sin(self.phase(p)))
+    @_along_points
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return (self.amplitude * np.sin(self.phase(x))).astype(complex)
 
-    def gradient(self, p: PointLike) -> np.ndarray:
+    @_along_points
+    def gradient(self, x: np.ndarray) -> np.ndarray:
         # F0 = k0 A cos(phase), Fj = -kj A cos(phase)
-        return (self.amplitude * np.cos(self.phase(p)) * self.k_lowered).astype(complex)
+        c = self.amplitude * np.cos(self.phase(x))
+        return (c[:, None] * self.k_lowered).astype(complex)
 
-    def hessian(self, p: PointLike) -> np.ndarray:
+    @_along_points
+    def hessian(self, x: np.ndarray) -> np.ndarray:
         kl = self.k_lowered
-        return (-self.amplitude * np.sin(self.phase(p)) * np.outer(kl, kl)).astype(complex)
+        s = -self.amplitude * np.sin(self.phase(x))
+        return (s[:, None, None] * np.outer(kl, kl)).astype(complex)
 
 
 @dataclass(frozen=True)
 class ComplexPlaneSeed(_PlaneSeed):
     """Phi = A exp(i (k0 x0 - k.x)) with a null 4-vector k."""
 
-    def value(self, p: PointLike) -> complex:
-        return complex(self.amplitude * np.exp(1j * self.phase(p)))
+    @_along_points
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self.amplitude * np.exp(1j * self.phase(x))
 
-    def gradient(self, p: PointLike) -> np.ndarray:
+    @_along_points
+    def gradient(self, x: np.ndarray) -> np.ndarray:
         # F_a = i * k_lowered_a * Phi
-        return 1j * self.k_lowered * self.value(p)
+        return 1j * self.k_lowered * self.value(x)[:, None]
 
-    def hessian(self, p: PointLike) -> np.ndarray:
+    @_along_points
+    def hessian(self, x: np.ndarray) -> np.ndarray:
         kl = self.k_lowered
-        return -np.outer(kl, kl) * self.value(p)
+        return -np.outer(kl, kl) * self.value(x)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -136,62 +162,65 @@ class CylindricalSeed:
         """Transverse wavenumber."""
         return float(np.sqrt(max(self.freq ** 2 - self.kz ** 2, 0.0)))
 
-    def _polar(self, p: PointLike) -> tuple[np.ndarray, float, float]:
-        x = as_point_array(p)
-        rho = float(np.hypot(x[1], x[2]))
-        if rho <= RHO_MIN:
+    def _polar(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """rho and the azimuth phi of each row; AxisError marks the rows on the axis."""
+        rho = np.hypot(x[:, 1], x[:, 2])
+        on_axis = rho <= RHO_MIN
+        if on_axis.any():
             raise AxisError(
-                f"cylindrical seed evaluated at rho={rho:.3e}; "
-                f"the axis region rho <= {RHO_MIN} is excluded"
+                f"cylindrical seed evaluated at rho={rho[on_axis][0]:.3e}; "
+                f"the axis region rho <= {RHO_MIN} is excluded",
+                rows=on_axis,
             )
-        phi = float(np.arctan2(x[2], x[1]))
-        return x, rho, phi
+        return rho, np.arctan2(x[:, 2], x[:, 1])
 
-    def _ladder(self, rho: float, phi: float) -> dict[int, complex]:
-        """W_n = J_n(q rho) exp(i n phi) for n = m-2 .. m+2."""
-        orders = np.arange(self.m - 2, self.m + 3)
-        j = special.jv(orders, self.q * rho)
-        w = j * np.exp(1j * orders * phi)
-        return {int(n): complex(wv) for n, wv in zip(orders, w)}
+    def _ladder(self, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """W_n = J_n(q rho) exp(i n phi) for n = m-2 .. m+2, as rows 0..4 of a (5, N) array."""
+        orders = np.arange(self.m - 2, self.m + 3)[:, None]
+        return special.jv(orders, self.q * rho) * np.exp(1j * orders * phi)
 
-    def value(self, p: PointLike) -> complex:
-        x, rho, phi = self._polar(p)
-        t = np.exp(1j * (self.freq * x[0] + self.kz * x[3]))
-        return complex(self.amplitude * t * special.jv(self.m, self.q * rho) * np.exp(1j * self.m * phi))
+    @_along_points
+    def value(self, x: np.ndarray) -> np.ndarray:
+        rho, phi = self._polar(x)
+        t = np.exp(1j * (self.freq * x[:, 0] + self.kz * x[:, 3]))
+        return _cmul(self.amplitude * t * special.jv(self.m, self.q * rho), np.exp(1j * self.m * phi))
 
-    def _jet(self, p: PointLike) -> tuple[complex, dict[int, complex]]:
-        """Axial-temporal factor A exp(i(freq x0 + kz x3)) and the ladder at p."""
-        x, rho, phi = self._polar(p)
-        t = self.amplitude * np.exp(1j * (self.freq * x[0] + self.kz * x[3]))
+    def _jet(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Axial-temporal factor A exp(i(freq x0 + kz x3)) and the ladder of each row."""
+        rho, phi = self._polar(x)
+        t = self.amplitude * np.exp(1j * (self.freq * x[:, 0] + self.kz * x[:, 3]))
         return t, self._ladder(rho, phi)
 
-    def _gradient(self, t: complex, w: dict[int, complex]) -> np.ndarray:
-        m, q = self.m, self.q
-        phi_val = t * w[m]
-        f = np.empty(4, dtype=complex)
-        f[0] = 1j * self.freq * phi_val
-        f[1] = t * q * (w[m - 1] - w[m + 1]) / 2.0
-        f[2] = t * 1j * q * (w[m + 1] + w[m - 1]) / 2.0
-        f[3] = 1j * self.kz * phi_val
+    def _gradient(self, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        q = self.q
+        down, up = w[1], w[3]  # W_{m-1}, W_{m+1}
+        phi_val = _cmul(t, w[2])
+        f = np.empty((len(t), 4), dtype=complex)
+        f[:, 0] = 1j * self.freq * phi_val
+        f[:, 1] = _cmul(t * q, down - up) / 2.0
+        f[:, 2] = _cmul(t * 1j * q, up + down) / 2.0
+        f[:, 3] = 1j * self.kz * phi_val
         return f
 
-    def gradient(self, p: PointLike) -> np.ndarray:
-        return self._gradient(*self._jet(p))
+    @_along_points
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._gradient(*self._jet(x))
 
-    def hessian(self, p: PointLike) -> np.ndarray:
-        t, w = self._jet(p)
-        m, q = self.m, self.q
+    @_along_points
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        t, w = self._jet(x)
+        q = self.q
         f = self._gradient(t, w)
-        h = np.empty((4, 4), dtype=complex)
-        h[0, :] = 1j * self.freq * f
-        h[3, :] = 1j * self.kz * f
-        h[:, 0] = h[0, :]
-        h[:, 3] = h[3, :]
+        h = np.empty((len(t), 4, 4), dtype=complex)
+        h[:, 0, :] = 1j * self.freq * f
+        h[:, 3, :] = 1j * self.kz * f
+        h[:, :, 0] = h[:, 0, :]
+        h[:, :, 3] = h[:, 3, :]
         # transverse block from the ladder: d1 W_m = q (W_{m-1} - W_{m+1}) / 2, etc.
-        h[1, 1] = t * q * q * (w[m - 2] - 2 * w[m] + w[m + 2]) / 4.0
-        h[1, 2] = t * 1j * q * q * (w[m - 2] - w[m + 2]) / 4.0
-        h[2, 1] = h[1, 2]
-        h[2, 2] = -t * q * q * (w[m + 2] + 2 * w[m] + w[m - 2]) / 4.0
+        h[:, 1, 1] = _cmul(t * q * q, w[0] - 2 * w[2] + w[4]) / 4.0
+        h[:, 1, 2] = _cmul(t * 1j * q * q, w[0] - w[4]) / 4.0
+        h[:, 2, 1] = h[:, 1, 2]
+        h[:, 2, 2] = _cmul(-t * q * q, w[4] + 2 * w[2] + w[0]) / 4.0
         return h
 
 

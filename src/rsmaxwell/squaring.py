@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import ALPHA, PointLike, RSVector, as_point
+from .algebra import ALPHA, PointLike, RSVector, _along_points, as_point
 from .seeds import ScalarSeed
 
 __all__ = ["Lambda", "combine", "formal_solutions"]
@@ -77,34 +77,43 @@ class Lambda:
         return self.as_array().imag
 
 
-def formal_solutions(seed: ScalarSeed, p: PointLike) -> np.ndarray:
-    """4x4 complex matrix whose columns are the four formal solutions at p.
+@_along_points
+def formal_solutions(seed: ScalarSeed, x: np.ndarray) -> np.ndarray:
+    """4x4 complex matrix whose columns are the four formal solutions, per point.
 
     Equals ``i F0 I + F1 alpha^1 + F2 alpha^2 + F3 alpha^3`` evaluated from
     the seed's analytic gradient; no numerical differentiation is involved.
+    Takes a point or an (N, 4) array and returns (4, 4) or (N, 4, 4).
     """
-    f = seed.gradient(p)
-    m = 1j * f[0] * _I4 + f[1] * ALPHA[0] + f[2] * ALPHA[1] + f[3] * ALPHA[2]
-    return m
+    f = seed.gradient(x)[:, :, None, None]
+    return 1j * f[:, 0] * _I4 + f[:, 1] * ALPHA[0] + f[:, 2] * ALPHA[1] + f[:, 3] * ALPHA[2]
 
 
-def combine(seed: ScalarSeed, lam: Lambda, p: PointLike) -> RSVector:
-    """Weighted combination lambda_c Psi^c of the formal solutions at p."""
-    return RSVector(formal_solutions(seed, p) @ lam.as_array())
+def combine(seed: ScalarSeed, lam: Lambda, p: PointLike) -> RSVector | np.ndarray:
+    """Weighted combination lambda_c Psi^c of the formal solutions.
+
+    An RSVector at one point; the (N, 4) complex columns for an (N, 4) array.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = formal_solutions(seed, p) @ lam.as_array()
+    return RSVector(psi) if psi.ndim == 1 else psi
 
 
 def em_field(seed: ScalarSeed, lam: Lambda):
-    """Field function p -> FieldSample reading (E, cB) off the combination.
+    """Field function of the combination, reading (E, cB) off its spatial components.
 
-    Only meaningful for admissible weights (vanishing zeroth component); the
-    zeroth component is dropped, so feed the result to the verifier to
-    certify it.
+    Called on an (N, 4) array of coordinates it returns the (N, 6) values
+    (E1, E2, E3, cB1, cB2, cB3), the contract of the array verifier; called
+    on one point it returns a FieldSample.  Only meaningful for admissible
+    weights (vanishing zeroth component); the zeroth component is dropped,
+    so feed the result to the verifier to certify it.
     """
     from .waves import FieldSample
 
-    def field(p: PointLike) -> "FieldSample":
-        pt = as_point(p)
-        psi = combine(seed, lam, pt)
-        return FieldSample(psi.e, psi.cb, pt)
+    def field(p):
+        psi = combine(seed, lam, p)
+        if isinstance(psi, RSVector):
+            return FieldSample(psi.e, psi.cb, as_point(p))
+        return np.concatenate([psi[:, 1:].real, psi[:, 1:].imag], axis=1)
 
     return field

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -280,3 +281,59 @@ def test_large_grid_smoke(z_seed_file, tmp_path):
     _, rows = read_field_table(out)
     assert len(rows) == 10_000
     assert np.all(np.isfinite(np.asarray(rows)))
+
+
+OVERFLOW_SEED = "kind = RealPlane\nA = 1e308\nk0 = 1e10\nk3 = 1e10\n"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["solve"], "constraint rows must be finite"),
+        (["sample", "--lambda", "0,0,1,0,0,0,0,0", "--grid", "x3:0:1:3"],
+         "non-finite field value at grid point SpacetimePoint(x0=0.0, x1=0.0, x2=0.0, x3=0.0)"),
+        (["verify", "--lambda", "0,0,1,0,0,0,0,0", "--grid", "x3:0:1:3"],
+         "non-finite field sample at stencil point"),
+    ],
+    ids=["solve", "sample", "verify"],
+)
+def test_overflowing_seed_fails_with_one_error_line(tmp_path, capsys, command, message):
+    # the seed overflows to inf: exit 2 with the reason, no numpy warning, no table
+    seed = tmp_path / "huge.txt"
+    seed.write_text(OVERFLOW_SEED)
+    out = tmp_path / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*command, "--seed", str(seed), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
+
+
+def test_sample_keeps_finite_field_whose_invariants_overflow(tmp_path, capsys):
+    # fields near 1e160 are finite, but E.cB and |E|^2 - |cB|^2 overflow: the rows are still written
+    seed = tmp_path / "large.txt"
+    seed.write_text("kind = RealPlane\nA = 1e160\nk0 = 1\nk3 = 1\n")
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sample", "--seed", str(seed), "--lambda", "0,0,1,0,0,0,0,0",
+                   "--grid", "x3:0.1:1:3", "--out", str(out)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (3, 12)
+    assert np.all(np.isfinite(rows[:, :10])) and np.abs(rows[:, 4:10]).max() > 1e159
+    assert not np.all(np.isfinite(rows[:, 10:]))
+
+
+def test_main_runs_different_subcommands_back_to_back(z_seed_file, tmp_path):
+    # the parser is built once per process; options of one call must not leak into the next
+    table = tmp_path / "t.jsonl"
+    assert main(["sample", "--seed", z_seed_file, "--lambda", "0,0,1,0,0,0,0,0",
+                 "--grid", "x3:0:1:3", "--format", "jsonl", "--out", str(table)]) == 0
+    dual_out = tmp_path / "d.csv"
+    assert main(["dual", "--in", str(table), "--out", str(dual_out)]) == 0
+    assert dual_out.read_text().startswith("x0,x1,x2,x3,")
+    assert main(["verify", "--seed", z_seed_file, "--lambda", "0,0,1,0,0,0,0,0",
+                 "--grid", "x3:0:5:5", "--fix", "x0=0.2"]) == 0

@@ -268,16 +268,17 @@ def test_solve_null_space_memory_stays_small(z_seed):
     assert peak < 16e6
 
 
-def test_cylindrical_solve_evaluates_one_ladder_per_point_per_pass(monkeypatch):
-    # one ladder per Hessian in assembly, one per gradient for the formal matrices
+def test_cylindrical_solve_evaluates_one_ladder_per_pass(monkeypatch):
+    # one array ladder over all points for the Hessians in assembly, one for
+    # the gradients of the formal matrices
     seed = CylindricalSeed(1.3, 1.3, 0.5, 2)
     ladder = CylindricalSeed._ladder
     calls = []
 
     def counted(self, rho, phi):
-        calls.append(1)
+        calls.append(len(rho))
         return ladder(self, rho, phi)
 
     monkeypatch.setattr(CylindricalSeed, "_ladder", counted)
     solve_null_space(assemble_constraints(seed, default_sample_points(seed, 32)))
-    assert len(calls) == 64
+    assert calls == [32, 32]
